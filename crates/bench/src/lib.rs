@@ -133,7 +133,6 @@ pub fn run_benchmarks_parallel(
                     Engine::Baseline => ParEngine::Baseline,
                     Engine::Lambda2 | Engine::NoDeduce => ParEngine::Search,
                 },
-                portfolio: false,
                 collect_trace: false,
             }
         })

@@ -37,8 +37,6 @@
 //!                           sequential). Several problems: fan the batch
 //!                           across the pool. One problem: parallelize
 //!                           *within* its search (byte-identical results)
-//!   --portfolio             race the retry-ladder rungs concurrently;
-//!                           same answer as --retry-ladder, less wall time
 //!   --no-static-analysis    disable the abstract-interpretation refutation
 //!                           pre-pass entirely (both tiers; same results)
 //!   --no-static-prune       keep the pre-pass but disable its pruning
@@ -75,7 +73,6 @@
 //!   --backoff-ms <n>        base retry delay, exponential + jitter (100)
 //!   --seed <n>              jitter seed (deterministic backoff; 0)
 //!   --timeout-ms <n>        per-request budget sent to the daemon
-//!   --portfolio             ask the daemon to race the ladder rungs
 //! ```
 //!
 //! `client` exit codes: 0 every request answered `ok`, 1 any request
@@ -163,8 +160,6 @@ struct Flags {
     /// Worker threads for batch commands (`None` = sequential, 0 = one
     /// per CPU).
     jobs: Option<usize>,
-    /// Race the retry-ladder rungs concurrently within each problem.
-    portfolio: bool,
     /// Disable the abstract-interpretation refutation pre-pass.
     no_static_analysis: bool,
     /// Keep the pre-pass but disable its pruning tier (ablation arm).
@@ -317,7 +312,6 @@ impl Flags {
                         format!("--jobs: `{raw}` is not a whole number of workers")
                     })?);
                 }
-                "--portfolio" => flags.portfolio = true,
                 "--no-static-analysis" => flags.no_static_analysis = true,
                 "--no-static-prune" => flags.no_static_prune = true,
                 "--json" => flags.json = true,
@@ -417,7 +411,7 @@ fn main() -> ExitCode {
                  l2 client synth <problem.l2>... | ping | stats | shutdown\n\
                  flags: --trace <path>  --stats-json[=<path>]  --corpus <dir>  \
                  --progress  --timeout-ms <n>  \
-                 --max-overshoot-ms <n>  --retry-ladder  --jobs <n>  --portfolio  \
+                 --max-overshoot-ms <n>  --retry-ladder  --jobs <n>  \
                  --no-static-analysis  --no-static-prune\n\
                  profile flags: --json  --weight pops|time  --out <path>\n\
                  corpus flags: --json  --wall-ratio <f>  --wall-floor-ms <n>  \
@@ -427,7 +421,7 @@ fn main() -> ExitCode {
                  --corpus <dir>  --access-log <path>  --slow-trace-ms <n>  \
                  --slow-trace-dir <dir>\n\
                  client flags: --addr <a>  --retries <n>  --backoff-ms <n>  \
-                 --seed <n>  --timeout-ms <n>  --portfolio  --json"
+                 --seed <n>  --timeout-ms <n>  --json"
             );
             return ExitCode::from(2);
         }
@@ -610,11 +604,7 @@ fn run_synthesis(
         };
         let tracer = &mut line;
         let r = catch_unwind(AssertUnwindSafe(|| {
-            if flags.portfolio {
-                synthesizer.synthesize_report_portfolio_traced(problem, tracer)
-            } else {
-                synthesizer.synthesize_report_traced(problem, tracer)
-            }
+            synthesizer.synthesize_report_traced(problem, tracer)
         }));
         line.finish_line();
         r
@@ -742,7 +732,6 @@ fn par_task(problem: &Problem, synthesizer: Synthesizer, flags: &Flags) -> ParTa
         spec: problem.clone(),
         options: synthesizer.options().clone(),
         engine: ParEngine::Search,
-        portfolio: flags.portfolio,
         collect_trace: flags.trace.is_some(),
     }
 }
@@ -1552,9 +1541,6 @@ fn cmd_client(args: &[String], flags: &Flags) -> ExitCode {
                 if let Some(ms) = flags.timeout_ms {
                     pairs.push(("timeout_ms".to_owned(), ms.into()));
                 }
-                if flags.portfolio {
-                    pairs.push(("portfolio".to_owned(), true.into()));
-                }
                 requests.push((path.clone(), Json::Obj(pairs)));
             }
         }
@@ -1813,13 +1799,13 @@ mod tests {
 
     #[test]
     fn parallel_flags_parse() {
-        let mut args: Vec<String> = ["bench", "--jobs", "4", "--portfolio", "evens"]
+        let mut args: Vec<String> = ["bench", "--jobs", "4", "--retry-ladder", "evens"]
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
         let flags = Flags::extract(&mut args).unwrap();
         assert_eq!(flags.jobs, Some(4));
-        assert!(flags.portfolio);
+        assert!(flags.retry_ladder);
         assert_eq!(flags.effective_jobs(), 4);
         assert_eq!(args, vec!["bench".to_owned(), "evens".to_owned()]);
 

@@ -94,10 +94,10 @@ pub struct CancelToken {
 
 impl CancelToken {
     /// A free-standing token, not yet tied to any budget. Attach it to one
-    /// or more budgets with [`Budget::with_cancel`] — the portfolio racer
-    /// creates its tokens up front and hands each rung a budget that
-    /// adopts one, so the coordinator can cancel losers from outside the
-    /// rung threads.
+    /// or more budgets with [`Budget::with_cancel`] — a daemon creates one
+    /// per served request up front and every rung of that request's retry
+    /// ladder adopts it, so a drain can cancel the request from outside
+    /// the worker thread.
     pub fn new() -> CancelToken {
         CancelToken {
             flag: Arc::new(AtomicBool::new(false)),
@@ -549,43 +549,23 @@ impl SearchReport {
     }
 
     /// Like [`SearchReport::to_measurement`] with the bench harness's
-    /// charging convention: solved runs report their own synthesis time
-    /// and counters, timeouts are charged the full `budget`, other
-    /// failures report zero elapsed.
+    /// charging convention: solved runs report their own synthesis time,
+    /// timeouts are charged the full `budget`, other failures report zero
+    /// elapsed. Counters are the report's on every outcome, so a failed
+    /// run still shows where its work went.
     pub fn to_measurement_budgeted(
         &self,
         name: &str,
         examples: usize,
         budget: Duration,
     ) -> crate::stats::Measurement {
-        match &self.outcome {
-            Ok(s) => crate::stats::Measurement {
-                name: name.to_owned(),
-                elapsed: s.elapsed,
-                solved: true,
-                cost: s.cost,
-                size: s.program.body().size(),
-                program: s.program.to_string(),
-                examples,
-                stats: s.stats.clone(),
-                error: None,
-            },
-            Err(e) => crate::stats::Measurement {
-                name: name.to_owned(),
-                elapsed: if matches!(e, SynthError::Timeout) {
-                    budget
-                } else {
-                    Duration::ZERO
-                },
-                solved: false,
-                cost: 0,
-                size: 0,
-                program: String::new(),
-                examples,
-                stats: crate::stats::Stats::default(),
-                error: Some(e.to_string()),
-            },
-        }
+        let mut m = self.to_measurement(name, examples);
+        m.elapsed = match &self.outcome {
+            Ok(s) => s.elapsed,
+            Err(SynthError::Timeout) => budget,
+            Err(_) => Duration::ZERO,
+        };
+        m
     }
 
     /// Serializes the report (minus the program itself — see
@@ -757,5 +737,30 @@ mod tests {
         assert_eq!(panic_message(&*p), "boom");
         let p = std::panic::catch_unwind(|| panic!("boom {}", 42)).unwrap_err();
         assert_eq!(panic_message(&*p), "boom 42");
+    }
+
+    #[test]
+    fn failed_runs_keep_their_counters_when_budgeted() {
+        let problem = crate::problem::Problem::builder("id")
+            .param("l", "[int]")
+            .returns("[int]")
+            .example(&["[1 2]"], "[1 2]")
+            .example(&["[]"], "[]")
+            .build()
+            .unwrap();
+        let report = crate::synthesizer::Synthesizer::with_options(crate::search::SearchOptions {
+            max_popped: 3,
+            ..crate::search::SearchOptions::default()
+        })
+        .synthesize_report(&problem);
+        assert_eq!(
+            report.outcome.as_ref().err(),
+            Some(&SynthError::LimitReached)
+        );
+        let m = report.to_measurement_budgeted("id", 2, Duration::from_secs(1));
+        assert!(!m.solved);
+        assert!(m.stats.popped > 0);
+        assert_eq!(m.stats.popped, report.stats.popped);
+        assert_eq!(m.elapsed, Duration::ZERO, "only timeouts are charged");
     }
 }

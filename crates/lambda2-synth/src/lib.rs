@@ -91,8 +91,7 @@ pub use obs::{
     CollectTracer, JsonlTracer, NoopTracer, PhaseTimes, TraceEvent, Tracer, SCHEMA_VERSION,
 };
 pub use par::{
-    effective_jobs, portfolio_report, portfolio_report_traced, run_pool, synthesize_batch,
-    ParEngine, ParOutcome, ParTask, PoolItem,
+    effective_jobs, run_pool, synthesize_batch, ParEngine, ParOutcome, ParTask, PoolItem,
 };
 pub use problem::{Example, Problem, ProblemBuilder, ProblemError};
 pub use search::{

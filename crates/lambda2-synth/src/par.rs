@@ -1,5 +1,5 @@
 //! Parallel synthesis: a hand-rolled worker pool for multi-problem
-//! batches and a within-problem *portfolio racer*.
+//! batches.
 //!
 //! The engine's data spine (`Problem`/`Library`/`Value`/`Expr`) shares
 //! structure via `Arc`, so problems and reports are `Send` and cross
@@ -10,21 +10,12 @@
 //! render→re-parse lossiness hazard — unnecessary.) The symbol interner
 //! is a global mutex, so symbols stay consistent across threads.
 //!
-//! Two drivers build on the [`run_pool`] primitive (std `thread` + `mpsc`;
-//! the container has no crates.io access, so no rayon):
-//!
-//! * [`synthesize_batch`] — fans independent problems across workers,
-//!   each under its own [`Budget`] with panic isolation; outputs are
-//!   returned in submission order, so batch output is deterministic no
-//!   matter how the scheduler interleaves workers.
-//! * [`portfolio_report`] — races the retry ladder's rungs (full config,
-//!   degraded caps, enumerative baseline) *concurrently*. The winner is
-//!   chosen by rung priority — exactly the order the sequential ladder
-//!   consults them — so the reported program, cost, attempt log, and
-//!   merged stats are identical to `Synthesizer::synthesize_report` with
-//!   the ladder enabled; only wall-clock time changes. Irrelevant rungs
-//!   are cancelled through shared [`CancelToken`]s and their partial
-//!   results discarded, never merged.
+//! [`synthesize_batch`] builds on the [`run_pool`] primitive (std
+//! `thread` and `mpsc`; the workspace takes no crates.io dependencies, so
+//! no rayon): it fans independent problems across workers, each under its own
+//! [`Budget`] with panic isolation; outputs are returned in submission
+//! order, so batch output is deterministic no matter how the scheduler
+//! interleaves workers.
 //!
 //! For parallelism *within* a single search (one shared queue, verification
 //! fan-out) see [`crate::search::SearchOptions::jobs`].
@@ -34,12 +25,11 @@ use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::baseline::{synthesize_baseline_within, BaselineOptions};
-use crate::govern::{panic_message, Attempt, Budget, CancelToken, Rung, SearchReport};
+use crate::govern::{panic_message, Attempt, Budget, Rung, SearchReport};
 use crate::obs::json::Json;
 use crate::obs::{CollectTracer, NoopTracer, TraceEvent, Tracer};
 use crate::problem::Problem;
-use crate::search::{search_governed, SearchOptions, Synthesis};
-use crate::stats::Stats;
+use crate::search::SearchOptions;
 use crate::synthesizer::Synthesizer;
 
 // ---------------------------------------------------------------------------
@@ -142,9 +132,6 @@ pub struct ParTask {
     pub options: SearchOptions,
     /// Which engine to run.
     pub engine: ParEngine,
-    /// Race the retry-ladder rungs concurrently ([`portfolio_report`])
-    /// instead of running the options as given. `Search` engine only.
-    pub portfolio: bool,
     /// Collect trace events for the caller (they come back in
     /// [`ParOutcome::events`], ready for worker-tagged merging).
     pub collect_trace: bool,
@@ -234,11 +221,7 @@ fn run_task(task: &ParTask) -> (SearchReport, Vec<TraceEvent>) {
             } else {
                 &mut noop
             };
-            if task.portfolio {
-                portfolio_report_traced(problem, synthesizer.options(), tr)
-            } else {
-                synthesizer.synthesize_report_traced(problem, tr)
-            }
+            synthesizer.synthesize_report_traced(problem, tr)
         }
         ParEngine::Baseline => {
             let bopts = BaselineOptions {
@@ -283,258 +266,6 @@ pub fn tagged_event_json(event: &TraceEvent, problem: &str, worker: usize) -> Js
         }
         other => other,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Within-problem portfolio racing.
-// ---------------------------------------------------------------------------
-
-/// One rung's complete result, shipped back from its racing thread.
-struct RungRun {
-    report: SearchReport,
-    events: Vec<TraceEvent>,
-    panic: Option<String>,
-}
-
-/// [`portfolio_report_traced`] without telemetry.
-pub fn portfolio_report(problem: &Problem, options: &SearchOptions) -> SearchReport {
-    portfolio_report_traced(problem, options, &mut NoopTracer)
-}
-
-/// Races the retry ladder's three rungs — the caller's options, the
-/// shared [`SearchOptions::degraded`] caps, and the enumerative baseline —
-/// on concurrent threads, each under its own [`Budget`] wired to a shared
-/// [`CancelToken`].
-///
-/// **Winner selection preserves the sequential answer.** The rungs are
-/// consulted in ladder priority order, not finish order: the full rung's
-/// verdict always decides first (its success — the minimal-cost program —
-/// or a non-resource failure ends the race outright); the degraded rung
-/// matters only if the full rung failed on a resource limit; the baseline
-/// only if the degraded rung also failed. Lower rungs can therefore never
-/// outrun the full configuration into the report, and the returned
-/// program, cost, attempt log, and merged stats are identical to
-/// `Synthesizer::synthesize_report` with `retry_ladder` enabled — rungs
-/// the sequential ladder would not have run are cancelled and their
-/// partial results discarded, never merged. Only wall-clock time differs:
-/// the race costs at most one deadline instead of three.
-///
-/// Trace events from the winning path are replayed into `tracer` in
-/// ladder order after the race, so traces are deterministic too.
-pub fn portfolio_report_traced(
-    problem: &Problem,
-    options: &SearchOptions,
-    tracer: &mut dyn Tracer,
-) -> SearchReport {
-    let overall = Instant::now();
-    let collect = tracer.enabled();
-    let full_options = SearchOptions {
-        retry_ladder: false,
-        ..options.clone()
-    };
-    let degraded_options = options.degraded();
-    let tokens: [CancelToken; 3] = [CancelToken::new(), CancelToken::new(), CancelToken::new()];
-    let mut runs: [Option<RungRun>; 3] = [None, None, None];
-
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, RungRun)>();
-        for (i, rung) in [Rung::Full, Rung::Degraded, Rung::Baseline]
-            .into_iter()
-            .enumerate()
-        {
-            let tx = tx.clone();
-            let token = tokens[i].clone();
-            let rung_options = match rung {
-                Rung::Full => &full_options,
-                Rung::Degraded => &degraded_options,
-                Rung::Baseline => options,
-            };
-            scope.spawn(move || {
-                let run = run_rung(problem, rung, rung_options, &token, collect);
-                let _ = tx.send((i, run));
-            });
-        }
-        drop(tx);
-        while let Ok((i, run)) = rx.recv() {
-            runs[i] = Some(run);
-            // A successful degraded rung makes the baseline irrelevant no
-            // matter what the full rung does: either the full rung wins
-            // outright, or the ladder stops at the degraded success.
-            if runs[1]
-                .as_ref()
-                .is_some_and(|d| d.panic.is_none() && d.report.outcome.is_ok())
-            {
-                tokens[2].cancel();
-            }
-            // Once the full rung reports anything but a retryable resource
-            // failure, the race is decided: cancel both fallback lanes.
-            if let Some(full) = &runs[0] {
-                let retryable = full.panic.is_none()
-                    && matches!(&full.report.outcome, Err(e) if e.is_resource_limit());
-                if !retryable {
-                    tokens[1].cancel();
-                    tokens[2].cancel();
-                }
-            }
-        }
-    });
-
-    let full = runs[0].as_ref().expect("full rung always reports");
-    let retryable =
-        full.panic.is_none() && matches!(&full.report.outcome, Err(e) if e.is_resource_limit());
-
-    // The rung path the sequential ladder would have walked.
-    let mut path: Vec<(usize, Rung)> = vec![(0, Rung::Full)];
-    if retryable {
-        path.push((1, Rung::Degraded));
-        let degraded = runs[1].as_ref().expect("degraded rung always reports");
-        if degraded.panic.is_some() || degraded.report.outcome.is_err() {
-            path.push((2, Rung::Baseline));
-        }
-    }
-
-    // Replay the winning path's telemetry in ladder order (deterministic,
-    // identical to the sequential trace), then propagate any panic on the
-    // path — exactly where the sequential ladder would have crashed.
-    if collect {
-        for (i, _) in &path {
-            for event in &runs[*i].as_ref().expect("path rung reported").events {
-                tracer.emit(event.clone());
-            }
-        }
-    }
-    for (i, _) in &path {
-        if let Some(msg) = &runs[*i].as_ref().expect("path rung reported").panic {
-            panic!("{}", msg.clone());
-        }
-    }
-
-    // Merge stats and the attempt log along the path, mirroring the
-    // sequential ladder (which skips a failed baseline's stats).
-    let mut stats = Stats::default();
-    let mut attempts = Vec::new();
-    for (i, rung) in &path {
-        let run = runs[*i].as_ref().expect("path rung reported");
-        if *rung != Rung::Baseline || run.report.outcome.is_ok() {
-            stats.merge(&run.report.stats);
-        }
-        attempts.push(Attempt {
-            rung: *rung,
-            error: run.report.outcome.as_ref().err().cloned(),
-            elapsed: run.report.elapsed,
-        });
-    }
-
-    // The winner is the first rung in priority order that succeeded; if
-    // none did, the full rung's error and frontier describe the failure.
-    let winner = path
-        .iter()
-        .find(|(i, _)| {
-            runs[*i]
-                .as_ref()
-                .expect("path rung reported")
-                .report
-                .outcome
-                .is_ok()
-        })
-        .map(|(i, _)| *i);
-    let (outcome, frontier) = match winner {
-        Some(i) => {
-            let run = runs[i].as_ref().expect("winner reported");
-            let win: &Synthesis = run.report.outcome.as_ref().expect("winner succeeded");
-            (Ok(win.clone()), Vec::new())
-        }
-        None => (
-            Err(full
-                .report
-                .outcome
-                .as_ref()
-                .err()
-                .cloned()
-                .expect("no winner implies the full rung failed")),
-            full.report.frontier.clone(),
-        ),
-    };
-
-    SearchReport {
-        outcome,
-        frontier,
-        stats,
-        elapsed: overall.elapsed(),
-        budget: full.report.budget,
-        attempts,
-    }
-}
-
-/// Runs one rung of the portfolio on the current thread, catching panics
-/// into the result so the coordinator can decide whether they matter
-/// (a cancelled loser's crash is discarded; a winner-path crash
-/// propagates).
-fn run_rung(
-    problem: &Problem,
-    rung: Rung,
-    options: &SearchOptions,
-    token: &CancelToken,
-    collect: bool,
-) -> RungRun {
-    let start = Instant::now();
-    let caught = catch_unwind(AssertUnwindSafe(|| match rung {
-        Rung::Full | Rung::Degraded => {
-            let budget = Budget::for_search(options).with_cancel(token);
-            let mut tracer = CollectTracer::default();
-            let mut noop = NoopTracer;
-            let report = {
-                let tr: &mut dyn Tracer = if collect { &mut tracer } else { &mut noop };
-                search_governed(problem, options, &budget, tr)
-            };
-            RungRun {
-                report,
-                events: tracer.events,
-                panic: None,
-            }
-        }
-        Rung::Baseline => {
-            // Mirrors the sequential ladder's third rung: wall-clock
-            // and fuel budgets only, defaults otherwise.
-            let bopts = BaselineOptions {
-                timeout: options.timeout,
-                eval_fuel: options.eval_fuel,
-                ..BaselineOptions::default()
-            };
-            let budget = Budget::new(options.timeout, options.max_overshoot).with_cancel(token);
-            let outcome = synthesize_baseline_within(problem, &bopts, &budget);
-            let elapsed = start.elapsed();
-            RungRun {
-                report: SearchReport {
-                    stats: outcome
-                        .as_ref()
-                        .map(|s| s.stats.clone())
-                        .unwrap_or_default(),
-                    outcome,
-                    frontier: Vec::new(),
-                    elapsed,
-                    budget: budget.snapshot(),
-                    attempts: Vec::new(),
-                },
-                events: Vec::new(),
-                panic: None,
-            }
-        }
-    }));
-    caught.unwrap_or_else(|payload| RungRun {
-        // Placeholder report; the coordinator checks `panic` first and
-        // never reads a panicked rung's outcome.
-        report: SearchReport {
-            outcome: Err(crate::search::SynthError::Cancelled),
-            frontier: Vec::new(),
-            stats: Stats::default(),
-            elapsed: start.elapsed(),
-            budget: Budget::unlimited().snapshot(),
-            attempts: Vec::new(),
-        },
-        events: Vec::new(),
-        panic: Some(panic_message(&*payload)),
-    })
 }
 
 #[cfg(test)]
@@ -586,7 +317,6 @@ mod tests {
             spec: p.clone(),
             options: SearchOptions::default(),
             engine: ParEngine::Search,
-            portfolio: false,
             collect_trace: false,
         };
         let outcomes = synthesize_batch(vec![task], 2);
@@ -598,24 +328,6 @@ mod tests {
         assert_eq!(win.cost, direct.cost);
         assert_eq!(win.stats.popped, direct.stats.popped);
         assert_eq!(win.stats.enumerated_terms, direct.stats.enumerated_terms);
-    }
-
-    #[test]
-    fn portfolio_matches_sequential_when_the_full_rung_wins() {
-        let p = sum_problem();
-        let sequential = Synthesizer::default()
-            .retry_ladder(true)
-            .synthesize_report(&p);
-        let report = portfolio_report(&p, &SearchOptions::default());
-        let (s_win, p_win) = (
-            sequential.outcome.as_ref().expect("solved"),
-            report.outcome.as_ref().expect("solved"),
-        );
-        assert_eq!(p_win.program.to_string(), s_win.program.to_string());
-        assert_eq!(p_win.cost, s_win.cost);
-        assert_eq!(report.attempts.len(), 1);
-        assert_eq!(report.attempts[0].rung, Rung::Full);
-        assert_eq!(report.stats.popped, sequential.stats.popped);
     }
 
     #[test]

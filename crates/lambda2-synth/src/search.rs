@@ -223,11 +223,9 @@ impl Default for SearchOptions {
 
 impl SearchOptions {
     /// The degraded-caps configuration used by the retry ladder's second
-    /// rung and the portfolio racer's second lane: tightened term-cost and
-    /// global caps — the same engine on a much smaller space, completing
-    /// quickly when the answer is simple and the full configuration
-    /// drowned in a deep space. Shared so sequential retry and concurrent
-    /// portfolio race *identical* configurations.
+    /// rung: tightened term-cost and global caps — the same engine on a
+    /// much smaller space, completing quickly when the answer is simple
+    /// and the full configuration drowned in a deep space.
     pub fn degraded(&self) -> SearchOptions {
         SearchOptions {
             max_term_cost: self.max_term_cost.min(8),
@@ -289,8 +287,8 @@ impl std::fmt::Display for SynthError {
 
 impl SynthError {
     /// `true` for failures caused by a *resource* limit (timeout, pop cap,
-    /// fuel cap) — the errors a degraded retry or a portfolio rung can
-    /// plausibly fix. Exhaustion and inconsistent examples are semantic
+    /// fuel cap) — the errors a degraded or baseline retry can plausibly
+    /// fix. Exhaustion and inconsistent examples are semantic
     /// verdicts no retry can change.
     pub fn is_resource_limit(&self) -> bool {
         matches!(

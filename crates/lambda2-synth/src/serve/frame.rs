@@ -61,7 +61,9 @@ impl fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 /// Writes one frame: 4-byte big-endian length, then the payload, then a
-/// flush.
+/// flush. Length and payload leave in a single `write_all`, so a TCP
+/// stream never sends a 4-byte segment that Nagle's algorithm would hold
+/// back until the peer's delayed ACK.
 ///
 /// # Errors
 ///
@@ -71,8 +73,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(ErrorKind::InvalidInput, "frame payload exceeds u32::MAX")
     })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -311,5 +315,34 @@ mod tests {
         let mut out = Vec::new();
         write_frame(&mut out, b"").unwrap();
         assert_eq!(out, vec![0, 0, 0, 0]);
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        for (i, payload) in [&b"{}"[..], b"", &[7u8; 9000][..]].into_iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+        }
+        assert_eq!(w.bytes.len(), (4 + 2) + 4 + (4 + 9000));
     }
 }

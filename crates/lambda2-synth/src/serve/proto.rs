@@ -46,8 +46,6 @@ pub struct Request {
     pub problem_json: Option<JsonProblem>,
     /// Per-request deadline; the server caps it at its own maximum.
     pub timeout_ms: Option<u64>,
-    /// Race the retry-ladder rungs concurrently.
-    pub portfolio: bool,
     /// Test hook: a failpoint site to arm (Panic, one fire) before the
     /// search runs. Honored only in builds with the `failpoints` feature;
     /// ignored otherwise.
@@ -94,7 +92,7 @@ impl JsonProblem {
 ///
 /// A rendered message describing the first problem found — invalid UTF-8,
 /// invalid JSON, a non-object document, a missing/unknown `op`, a version
-/// mismatch, or a malformed `problem_json`.
+/// mismatch, a malformed `problem_json`, or the retired `"portfolio": true`.
 pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
     let doc = json::parse(text).map_err(|e| format!("payload is not valid JSON: {e}"))?;
@@ -135,16 +133,19 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
     if op == ReqOp::Synth && problem_source.is_none() && problem_json.is_none() {
         return Err("synth request carries neither \"problem\" nor \"problem_json\"".into());
     }
+    // A retired key whose old meaning would silently change the answer:
+    // refuse it rather than ignore it like an unknown field.
+    if doc.get("portfolio").and_then(Json::as_bool) == Some(true) {
+        return Err("\"portfolio\" racing was removed; start the daemon with \
+                    --retry-ladder to run the full retry ladder on every request"
+            .into());
+    }
     Ok(Request {
         op,
         id,
         problem_source,
         problem_json,
         timeout_ms: doc.get("timeout_ms").and_then(Json::as_u64),
-        portfolio: doc
-            .get("portfolio")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
         failpoint: doc
             .get("failpoint")
             .and_then(Json::as_str)
@@ -343,7 +344,6 @@ mod tests {
         assert_eq!(req.id.as_deref(), Some("r1"));
         assert_eq!(req.problem_source.as_deref(), Some("(problem p)"));
         assert_eq!(req.timeout_ms, Some(250));
-        assert!(!req.portfolio);
     }
 
     #[test]
@@ -378,6 +378,17 @@ mod tests {
             let err = parse_request(payload).unwrap_err();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
+    }
+
+    #[test]
+    fn retired_portfolio_key_is_rejected_only_when_set() {
+        let err = parse_request(br#"{"op":"synth","problem":"x","portfolio":true}"#).unwrap_err();
+        assert!(
+            err.contains("removed") && err.contains("--retry-ladder"),
+            "{err}"
+        );
+        // `false` asked for the default all along, so it stays accepted.
+        assert!(parse_request(br#"{"op":"synth","problem":"x","portfolio":false}"#).is_ok());
     }
 
     #[test]

@@ -38,8 +38,6 @@
 //! counters differ). The pool shares one mutex-guarded [`WarmCache`], so
 //! a store warmed by any worker serves every later request for the same
 //! signature, and the byte budget bounds the pool's total footprint.
-//! Portfolio requests route to [`portfolio_report_traced`] and skip the
-//! warm cache (their rungs race on private threads).
 //!
 //! # Drain
 //!
@@ -100,7 +98,6 @@ use crate::obs::corpus::{options_fingerprint, Corpus, RunRecord};
 use crate::obs::json::Json;
 use crate::obs::metrics::{Histogram, EXP2_BOUNDS};
 use crate::obs::{JsonlTracer, NoopTracer, Tracer};
-use crate::par::portfolio_report_traced;
 use crate::problem::Problem;
 use crate::search::SearchOptions;
 use crate::stats::Measurement;
@@ -567,7 +564,6 @@ struct Job {
     id: Option<String>,
     spec: Problem,
     timeout: Duration,
-    portfolio: bool,
     #[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
     failpoint: Option<String>,
     enqueued: Instant,
@@ -935,7 +931,6 @@ fn admit_synth(
         id: id.clone(),
         spec: problem,
         timeout,
-        portfolio: req.portfolio,
         failpoint: req.failpoint,
         enqueued: Instant::now(),
         reply: reply_tx,
@@ -1107,18 +1102,12 @@ fn execute(
         {
             panic!("injected panic at serve.request");
         }
-        if job.portfolio {
-            // Portfolio rungs race on their own threads with their own
-            // budgets and skip the warm cache.
-            portfolio_report_traced(&problem, &options, tracer)
-        } else {
-            Synthesizer::with_options(options.clone()).synthesize_report_warm(
-                &problem,
-                tracer,
-                Some(&token),
-                Some(warm),
-            )
-        }
+        Synthesizer::with_options(options.clone()).synthesize_report_warm(
+            &problem,
+            tracer,
+            Some(&token),
+            Some(warm),
+        )
     }));
     let elapsed = started.elapsed();
     #[cfg(feature = "failpoints")]

@@ -198,8 +198,7 @@ impl Synthesizer {
             return report;
         }
 
-        // Rung 2: tightened term-cost and global caps (shared with the
-        // portfolio racer so both ladders run identical configurations).
+        // Rung 2: tightened term-cost and global caps.
         let degraded = self.options.degraded();
         let rung_budget = adopt(Budget::for_search(&degraded));
         let rung = search_governed_warm(problem, &degraded, &rung_budget, tracer, warm);
@@ -251,26 +250,6 @@ impl Synthesizer {
         }
         report.elapsed = overall.elapsed();
         report
-    }
-
-    /// [`Synthesizer::synthesize_report`] with the retry-ladder rungs
-    /// raced concurrently instead of sequentially (see
-    /// [`crate::par::portfolio_report_traced`] for the identity
-    /// guarantee). Races the ladder whether or not
-    /// [`SearchOptions::retry_ladder`] is set; the equivalence target is
-    /// the sequential report *with* the ladder enabled.
-    pub fn synthesize_report_portfolio(&self, problem: &Problem) -> SearchReport {
-        crate::par::portfolio_report(problem, &self.options)
-    }
-
-    /// [`Synthesizer::synthesize_report_portfolio`] with telemetry; the
-    /// winning path's events are replayed into `tracer` in ladder order.
-    pub fn synthesize_report_portfolio_traced(
-        &self,
-        problem: &Problem,
-        tracer: &mut dyn Tracer,
-    ) -> SearchReport {
-        crate::par::portfolio_report_traced(problem, &self.options, tracer)
     }
 }
 

@@ -141,6 +141,49 @@ fn long_runs_emit_monotone_progress_heartbeats() {
     }
 }
 
+/// Under the retry ladder the rungs run one after another on the caller's
+/// tracer, so heartbeats stay monotone inside each rung: the pop counter
+/// may reset only where one rung hands over to the next.
+#[test]
+fn ladder_progress_heartbeats_reset_only_at_rung_boundaries() {
+    // Inexpressible cheaply, so the full rung grinds to its deadline and
+    // the ladder walks on.
+    let problem = Problem::builder("grind")
+        .param("l", "[int]")
+        .returns("[int]")
+        .example(&["[1 2 3]"], "[999 123 7]")
+        .example(&["[4]"], "[5612]")
+        .example(&["[9 9]"], "[17 3]")
+        .build()
+        .unwrap();
+    let options = SearchOptions {
+        progress: true,
+        retry_ladder: true,
+        timeout: Some(Duration::from_millis(700)),
+        ..SearchOptions::default()
+    };
+    let mut tracer = CollectTracer::default();
+    let report = Synthesizer::with_options(options).synthesize_report_traced(&problem, &mut tracer);
+    assert!(report.outcome.is_err(), "grind is inexpressible");
+    assert!(report.attempts.len() > 1, "the ladder retried");
+
+    let beats: Vec<u64> = tracer
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Progress { budget, .. } => Some(budget.pops),
+            _ => None,
+        })
+        .collect();
+    assert!(!beats.is_empty(), "no heartbeat from any rung");
+    let resets = beats.windows(2).filter(|w| w[1] < w[0]).count();
+    assert!(
+        resets < report.attempts.len(),
+        "{resets} pop-counter resets over {} rungs: {beats:?}",
+        report.attempts.len()
+    );
+}
+
 /// Real measurements round-trip through a corpus on disk, aggregate
 /// cleanly, and two identically-configured runs regress clean while a
 /// perturbed counter is flagged — the library contract behind

@@ -292,6 +292,16 @@ fn garbage_input_cannot_kill_the_daemon() {
             ))
             .expect("answered");
         assert_eq!(status_of(&resp), "error");
+        // 4. The retired `portfolio` key: refused with a pointer to the
+        //    ladder rather than silently answered another way.
+        let mut retired = synth_req("retired", EVENS, 1_000);
+        if let Json::Obj(pairs) = &mut retired {
+            pairs.push(("portfolio".to_owned(), true.into()));
+        }
+        let resp = c.call(&retired).expect("answered");
+        assert_eq!(status_of(&resp), "error");
+        let message = resp.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains("--retry-ladder"), "{message}");
     }
     // Still alive and solving.
     let mut c = Client::connect(&addr).expect("connect");
